@@ -56,7 +56,7 @@ func fitModels(insts []Instance) []OpModel {
 		if useSM {
 			cols = append(cols, sm)
 		}
-		coef, ok := leastSquares(cols, y)
+		coef, ok := stats.LeastSquares(cols, y)
 		if !ok {
 			coef = []float64{mean(y)}
 			cols = cols[:1]
@@ -115,7 +115,7 @@ func waveFit(entry []sim.Time) (slope, r2 float64) {
 	if len(xs) < 3 {
 		return 0, 0
 	}
-	coef, ok := leastSquares([][]float64{ones(len(xs)), xs}, ys)
+	coef, ok := stats.LeastSquares([][]float64{ones(len(xs)), xs}, ys)
 	if !ok {
 		return 0, 0
 	}
@@ -169,58 +169,6 @@ func idleReport(ranks []rankClock, insts []Instance, elapsed sim.Time) IdleRepor
 		rep.MeanAbsWaveNSPerRank = sumWave / float64(waves)
 	}
 	return rep
-}
-
-// leastSquares solves min ||X·b - y|| for the given design columns via
-// the normal equations with partial-pivot Gaussian elimination. ok is
-// false when the system is singular (collinear columns).
-func leastSquares(cols [][]float64, y []float64) ([]float64, bool) {
-	k := len(cols)
-	a := make([][]float64, k)
-	b := make([]float64, k)
-	for i := 0; i < k; i++ {
-		a[i] = make([]float64, k)
-		for j := 0; j < k; j++ {
-			a[i][j] = dot(cols[i], cols[j])
-		}
-		b[i] = dot(cols[i], y)
-	}
-	for col := 0; col < k; col++ {
-		pivot := col
-		for row := col + 1; row < k; row++ {
-			if math.Abs(a[row][col]) > math.Abs(a[pivot][col]) {
-				pivot = row
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-9 {
-			return nil, false
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		for row := 0; row < k; row++ {
-			if row == col {
-				continue
-			}
-			f := a[row][col] / a[col][col]
-			for j := col; j < k; j++ {
-				a[row][j] -= f * a[col][j]
-			}
-			b[row] -= f * b[col]
-		}
-	}
-	out := make([]float64, k)
-	for i := 0; i < k; i++ {
-		out[i] = b[i] / a[i][i]
-	}
-	return out, true
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }
 
 func ones(n int) []float64 {

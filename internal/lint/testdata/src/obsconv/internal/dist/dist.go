@@ -12,7 +12,7 @@ func Register(r *obs.Registry, shard string) {
 	r.Gauge("commcharDistDepth", "queue depth")           // want "obsconv: metric name \"commcharDistDepth\" violates the commchar_\\* snake_case convention"
 	r.Histogram("commchar_dist_latency_seconds", "lease latency")
 	r.Counter("commchar_dist_"+shard+"_total", "per-shard grants")
-	r.Gauge(shard+"_depth", "per-shard depth") // want "obsconv: dynamic metric name in Gauge"
+	r.Gauge(shard+"_depth", "per-shard depth")                                         // want "obsconv: dynamic metric name in Gauge"
 	r.CounterVecFunc("commchar_dist_by_worker_total", "per-worker grants", shard, nil) // want "obsconv: dynamic label name in CounterVecFunc"
 }
 

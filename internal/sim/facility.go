@@ -189,6 +189,7 @@ func (m *Mailbox) Put(item any) {
 
 // Get removes and returns the oldest item, blocking the process while the
 // mailbox is empty.
+//
 //lint:allow ctxflow blocks in simulated time via SuspendOn, not host time; the deadlock watchdog, not a ctx, bounds it
 func (m *Mailbox) Get(p *Process) any {
 	for len(m.items) == 0 {

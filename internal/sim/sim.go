@@ -241,6 +241,7 @@ func (s *Simulator) Run() {
 
 // RunUntil fires events with time <= t, then sets the clock to t (if the
 // simulation had not already advanced past it).
+//
 //lint:allow ctxflow drains only events at or before t, bounded by the calendar; cancellable runs go through RunCheckedContext
 func (s *Simulator) RunUntil(t Time) {
 	for len(s.queue) > 0 {

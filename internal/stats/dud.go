@@ -52,8 +52,8 @@ type Model struct {
 
 // FitOptions controls the DUD iteration.
 type FitOptions struct {
-	MaxIter int     // default 200
-	Tol     float64 // relative RSS improvement tolerance, default 1e-10
+	MaxIter int     // default 400
+	Tol     float64 // relative RSS improvement tolerance, default 1e-12
 }
 
 func (o FitOptions) withDefaults() FitOptions {
@@ -77,15 +77,24 @@ type FitResult struct {
 	Iters int
 }
 
+// dudPoint is one simplex vertex: unconstrained parameters u, the model's
+// values g at every x, and the residual sum of squares (+Inf when a
+// residual is not finite).
+type dudPoint struct {
+	u, g []float64
+	rss  float64
+}
+
 // FitDUD fits the model to (xs, ys) by the DUD ("doesn't use derivatives")
 // algorithm of Ralston & Jennrich — the multivariate secant method that SAS
 // PROC NLIN provides and that the paper used. theta0 is the initial
 // estimate in natural parameter space.
 //
-// DUD maintains p+1 parameter vectors; the model surface is locally
-// approximated by secants through their function values, a linear
-// least-squares step predicts a better point, and step halving guards the
-// descent. No derivatives of F are ever taken.
+// DUD maintains p+1 parameter vectors with their model values; the model
+// surface is locally approximated by secants through those values, a
+// linear least-squares step predicts a better point, and step halving
+// guards the descent. Each step evaluates the model only at new points,
+// and no derivatives of F are ever taken.
 func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitResult, error) {
 	opt = opt.withDefaults()
 	if len(xs) != len(ys) {
@@ -102,129 +111,107 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		return FitResult{}, fmt.Errorf("stats: %d observations cannot identify %d parameters", len(xs), p)
 	}
 
-	natural := func(u []float64) []float64 {
-		th := make([]float64, p)
+	natural := func(u, th []float64) []float64 {
 		for j := range th {
 			th[j] = m.Transforms[j].toNatural(u[j])
 		}
 		return th
 	}
-	rss := func(u []float64) float64 {
-		th := natural(u)
+	th := make([]float64, p)
+	eval := func(pt *dudPoint) {
+		natural(pt.u, th)
 		var s float64
-		for i := range xs {
-			r := ys[i] - m.F(th, xs[i])
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return math.Inf(1)
-			}
+		for i, x := range xs {
+			pt.g[i] = m.F(th, x)
+			r := ys[i] - pt.g[i]
 			s += r * r
 		}
-		return s
+		if math.IsNaN(s) { // a NaN residual; an infinite one already made s +Inf
+			s = math.Inf(1)
+		}
+		pt.rss = s
+	}
+	newPoint := func() dudPoint {
+		return dudPoint{u: make([]float64, p), g: make([]float64, len(xs))}
 	}
 
 	// Initial simplex of p+1 points: theta0 plus per-coordinate nudges.
-	u0 := make([]float64, p)
+	pts := make([]dudPoint, p+1)
+	pts[0] = newPoint()
+	u0 := pts[0].u
 	for j := range u0 {
 		u0[j] = m.Transforms[j].toUnconstrained(theta0[j])
 		if math.IsNaN(u0[j]) || math.IsInf(u0[j], 0) {
 			return FitResult{}, fmt.Errorf("stats: initial parameter %d (%v) not in the transform's domain", j, theta0[j])
 		}
 	}
-	pts := make([][]float64, p+1)
-	vals := make([]float64, p+1)
-	pts[0] = u0
-	vals[0] = rss(u0)
+	eval(&pts[0])
 	for j := 0; j < p; j++ {
-		u := append([]float64(nil), u0...)
-		step := 0.1 * math.Abs(u[j])
+		pt := newPoint()
+		copy(pt.u, u0)
+		step := 0.1 * math.Abs(pt.u[j])
 		if step < 0.1 {
 			step = 0.1
 		}
-		u[j] += step
-		pts[j+1] = u
-		vals[j+1] = rss(u)
+		pt.u[j] += step
+		eval(&pt)
+		pts[j+1] = pt
 	}
 
 	// order sorts points so pts[0] is worst and pts[p] is best.
 	order := func() {
 		for i := 0; i < len(pts); i++ {
 			for k := i + 1; k < len(pts); k++ {
-				if vals[k] > vals[i] {
+				if pts[k].rss > pts[i].rss {
 					pts[i], pts[k] = pts[k], pts[i]
-					vals[i], vals[k] = vals[k], vals[i]
 				}
 			}
 		}
 	}
 	order()
 
+	// Secant columns around the best point, the residual at it, and the
+	// candidate point are reused across iterations.
+	dTheta := make([][]float64, p)
+	dG := make([][]float64, p)
+	for j := range dG {
+		dTheta[j] = make([]float64, p)
+		dG[j] = make([]float64, len(xs))
+	}
+	r := make([]float64, len(xs))
+	cand := newPoint()
+
 	iters := 0
 	stall := 0
 	for ; iters < opt.MaxIter; iters++ {
 		best := pts[p]
-		bestVal := vals[p]
-		if math.IsInf(bestVal, 1) {
+		if math.IsInf(best.rss, 1) {
 			return FitResult{}, errors.New("stats: model not evaluable near initial estimate")
 		}
 
-		// Secant approximation around the best point.
-		thBest := natural(best)
-		gBest := make([]float64, len(xs))
-		for i := range xs {
-			gBest[i] = m.F(thBest, xs[i])
-		}
-		// Columns: dTheta[j] = pts[j] - best; dG[j][i] = F(pts[j]) - F(best).
-		dTheta := make([][]float64, p)
-		dG := make([][]float64, p)
+		// Columns: dTheta[j] = pts[j] - best; dG[j] = g(pts[j]) - g(best).
 		for j := 0; j < p; j++ {
-			dTheta[j] = make([]float64, p)
-			for k := 0; k < p; k++ {
-				dTheta[j][k] = pts[j][k] - best[k]
+			for k := range best.u {
+				dTheta[j][k] = pts[j].u[k] - best.u[k]
 			}
-			th := natural(pts[j])
-			col := make([]float64, len(xs))
-			for i := range xs {
-				col[i] = m.F(th, xs[i]) - gBest[i]
+			for i := range best.g {
+				dG[j][i] = pts[j].g[i] - best.g[i]
 			}
-			dG[j] = col
 		}
 
-		// Solve min_alpha || r - dG alpha || where r = y - g(best):
-		// normal equations (dG^T dG) alpha = dG^T r, with ridge fallback.
-		r := make([]float64, len(xs))
-		for i := range xs {
-			r[i] = ys[i] - gBest[i]
+		// Solve min_alpha || r - dG alpha || where r = y - g(best).
+		for i := range r {
+			r[i] = ys[i] - best.g[i]
 		}
-		ata := make([][]float64, p)
-		atb := make([]float64, p)
-		for j := 0; j < p; j++ {
-			ata[j] = make([]float64, p)
-			for k := 0; k <= j; k++ {
-				var s float64
-				for i := range xs {
-					s += dG[j][i] * dG[k][i]
-				}
-				ata[j][k] = s
-			}
-			var s float64
-			for i := range xs {
-				s += dG[j][i] * r[i]
-			}
-			atb[j] = s
-		}
-		for j := 0; j < p; j++ {
-			for k := j + 1; k < p; k++ {
-				ata[j][k] = ata[k][j]
-			}
-		}
-		alpha, ok := solveLinear(ata, atb)
+		alpha, ok := LeastSquares(dG, r)
 		if !ok {
-			// Degenerate secant set: regularize by re-nudging the worst
-			// point off the best and retry next iteration.
-			for j := range pts[0] {
-				pts[0][j] = best[j] + (0.05+1e-3*float64(iters))*(1+math.Abs(best[j]))*sign(float64(j%2)*2-1)
+			// Degenerate secant set: re-nudge the worst point off the
+			// best and retry next iteration.
+			worst := &pts[0]
+			for j := range worst.u {
+				worst.u[j] = best.u[j] + (0.05+1e-3*float64(iters))*(1+math.Abs(best.u[j]))*sign(float64(j%2)*2-1)
 			}
-			vals[0] = rss(pts[0])
+			eval(worst)
 			order()
 			continue
 		}
@@ -250,18 +237,16 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 			scale = maxStep / maxMove
 		}
 		for h := 0; h < 10; h++ {
-			cand := make([]float64, p)
 			for k := 0; k < p; k++ {
 				var move float64
 				for j := 0; j < p; j++ {
 					move += dTheta[j][k] * alpha[j] * scale
 				}
-				cand[k] = best[k] + move
+				cand.u[k] = best.u[k] + move
 			}
-			cv := rss(cand)
-			if cv < vals[0] { // better than the worst: accept
-				pts[0] = cand
-				vals[0] = cv
+			eval(&cand)
+			if cand.rss < pts[0].rss { // better than the worst: accept
+				pts[0], cand = cand, pts[0]
 				improved = true
 				break
 			}
@@ -274,11 +259,11 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 			var size float64
 			for j := 0; j < p; j++ {
 				for k := 0; k < p; k++ {
-					pts[j][k] = best[k] + 0.5*(pts[j][k]-best[k])
-					d := pts[j][k] - best[k]
+					pts[j].u[k] = best.u[k] + 0.5*(pts[j].u[k]-best.u[k])
+					d := pts[j].u[k] - best.u[k]
 					size += d * d
 				}
-				vals[j] = rss(pts[j])
+				eval(&pts[j])
 			}
 			if size < 1e-24 {
 				break
@@ -286,9 +271,8 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 			order()
 			continue
 		}
-		prevBest := bestVal
 		order()
-		if prevBest-vals[p] <= opt.Tol*math.Max(prevBest, 1e-30) {
+		if best.rss-pts[p].rss <= opt.Tol*math.Max(best.rss, 1e-30) {
 			stall++
 			if stall >= stallLimit {
 				break
@@ -299,7 +283,7 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 	}
 
 	order()
-	return FitResult{Theta: natural(pts[p]), RSS: vals[p], Iters: iters}, nil
+	return FitResult{Theta: natural(pts[p].u, make([]float64, p)), RSS: pts[p].rss, Iters: iters}, nil
 }
 
 func sign(x float64) float64 {
@@ -309,16 +293,21 @@ func sign(x float64) float64 {
 	return 1
 }
 
-// solveLinear solves A x = b for small dense systems by Gaussian elimination
-// with partial pivoting. It reports false for (near-)singular systems.
-func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
-	n := len(b)
-	// Work on copies.
+// LeastSquares solves min ||X·b - y|| for the design columns cols of X
+// through the normal equations (XᵀX) b = Xᵀy, by Gaussian elimination
+// with partial pivoting and back substitution. ok is false when XᵀX is
+// (near-)singular, as collinear columns make it, or b is not finite.
+func LeastSquares(cols [][]float64, y []float64) ([]float64, bool) {
+	n := len(cols)
 	m := make([][]float64, n)
-	for i := range m {
-		m[i] = append([]float64(nil), a[i]...)
+	x := make([]float64, n)
+	for i := range cols {
+		m[i] = make([]float64, n)
+		for j := range cols {
+			m[i][j] = dot(cols[i], cols[j])
+		}
+		x[i] = dot(cols[i], y)
 	}
-	x := append([]float64(nil), b...)
 
 	for col := 0; col < n; col++ {
 		// Pivot.
@@ -356,4 +345,12 @@ func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
 		}
 	}
 	return x, true
+}
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }

@@ -7,32 +7,36 @@ import (
 	"commchar/internal/sim"
 )
 
-func TestSolveLinear(t *testing.T) {
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, ok := solveLinear(a, b)
+func TestLeastSquaresExactOverdetermined(t *testing.T) {
+	// Five points on y = 1 + 3x: the fit must pass through all of them.
+	x := []float64{0, 1, 2, 3, 4}
+	y := []float64{1, 4, 7, 10, 13}
+	b, ok := LeastSquares([][]float64{{1, 1, 1, 1, 1}, x}, y)
 	if !ok {
 		t.Fatal("solver failed")
 	}
-	// 2x+y=5, x+3y=10 -> x=1, y=3
-	if !almostEqual(x[0], 1, 1e-9) || !almostEqual(x[1], 3, 1e-9) {
-		t.Fatalf("solution = %v", x)
+	if !almostEqual(b[0], 1, 1e-9) || !almostEqual(b[1], 3, 1e-9) {
+		t.Fatalf("coefficients = %v, want [1 3]", b)
 	}
 }
 
-func TestSolveLinearSingular(t *testing.T) {
-	a := [][]float64{{1, 2}, {2, 4}}
-	if _, ok := solveLinear(a, []float64{1, 2}); ok {
-		t.Fatal("singular system solved")
+func TestLeastSquaresCollinear(t *testing.T) {
+	// The second column is twice the first: XᵀX is singular, and the
+	// caller must fall back to a smaller design.
+	x := []float64{1, 2, 3}
+	if _, ok := LeastSquares([][]float64{x, {2, 4, 6}}, []float64{1, 2, 3}); ok {
+		t.Fatal("collinear columns solved")
 	}
 }
 
-func TestSolveLinearPivoting(t *testing.T) {
-	// Zero on the diagonal forces a pivot swap.
-	a := [][]float64{{0, 1}, {1, 0}}
-	x, ok := solveLinear(a, []float64{3, 4})
-	if !ok || !almostEqual(x[0], 4, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
-		t.Fatalf("pivoted solve = %v ok=%v", x, ok)
+func TestLeastSquaresPivoting(t *testing.T) {
+	// XᵀX = [[3 60] [60 1400]]: the first column's pivot (3) is smaller
+	// than the entry below it (60), so elimination swaps rows.
+	x := []float64{10, 20, 30}
+	y := []float64{7, 12, 17}
+	b, ok := LeastSquares([][]float64{{1, 1, 1}, x}, y)
+	if !ok || !almostEqual(b[0], 2, 1e-9) || !almostEqual(b[1], 0.5, 1e-12) {
+		t.Fatalf("pivoted solve = %v ok=%v, want [2 0.5]", b, ok)
 	}
 }
 
@@ -168,5 +172,44 @@ func TestDUDImprovesOnInitialGuess(t *testing.T) {
 	}
 	if res.RSS >= initRSS/100 {
 		t.Fatalf("RSS %v barely improved on initial %v", res.RSS, initRSS)
+	}
+}
+
+// Each DUD step evaluates the model only at new parameter vectors: the
+// simplex points keep their model values, so no θ is evaluated twice.
+func TestDUDNeverEvaluatesSameThetaTwice(t *testing.T) {
+	for _, c := range goldenCorpus {
+		if _, ok := c.dist.(Deterministic); ok {
+			continue // its ECDF points all share one x
+		}
+		sample := c.sample()
+		xs, ys := NewECDF(sample).Points(maxRegressionPoints)
+		for _, cand := range candidateModels(Summarize(sample), sample) {
+			type call struct {
+				theta [3]uint64 // no family has more than three parameters
+				x     float64
+			}
+			seen := map[call]bool{}
+			repeats := 0
+			m := cand.model
+			f := m.F
+			m.F = func(th []float64, x float64) float64 {
+				k := call{x: x}
+				for j, v := range th {
+					k.theta[j] = math.Float64bits(v)
+				}
+				if seen[k] {
+					repeats++
+				}
+				seen[k] = true
+				return f(th, x)
+			}
+			if _, err := FitDUD(m, xs, ys, cand.init, FitOptions{}); err != nil {
+				continue
+			}
+			if repeats > 0 {
+				t.Errorf("%s sample, %s model: %d of %d evaluations repeat an earlier (θ, x)", c.name, m.Name, repeats, len(seen)+repeats)
+			}
+		}
 	}
 }
