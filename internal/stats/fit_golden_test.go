@@ -10,9 +10,13 @@ import (
 	"testing"
 
 	"commchar/internal/sim"
+	"commchar/internal/stats/fitfloor"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files")
+var (
+	update      = flag.Bool("update", false, "rewrite the golden files")
+	recordFloor = flag.Bool("record-floor", false, "record testdata/fit_floor.json from this tree's fits")
+)
 
 // goldenCorpus is a seeded sample of every family, plus a point mass.
 // Its fits pin FitInterarrival bit for bit, so a change to the fitting
@@ -107,5 +111,45 @@ func TestFitInterarrivalGolden(t *testing.T) {
 	}
 	if len(got) != len(wantFits) {
 		t.Errorf("%d corpus cases, %s has %d", len(got), path, len(wantFits))
+	}
+}
+
+// TestFitInterarrivalFloor holds the corpus to testdata/fit_floor.json,
+// which keeps every candidate's R² from before DUD's Levenberg step: a
+// fitting change may move fits, but no winning R² may fall, a winner may
+// change family only to a higher R², and no candidate may lose more than
+// 0.01 R². Every case's family must still win.
+func TestFitInterarrivalFloor(t *testing.T) {
+	var got []fitfloor.Sample
+	for _, c := range goldenCorpus {
+		fits, err := FitInterarrival(c.sample())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if w := fits[0].Dist.Name(); w != c.wins {
+			t.Errorf("%s sample: %s wins, want %s", c.name, w, c.wins)
+		}
+		s := fitfloor.Sample{Name: c.name, Winner: fits[0].Dist.Name(), R2: fits[0].R2, Candidates: map[string]float64{}}
+		for _, f := range fits {
+			s.Candidates[f.Dist.Name()] = f.R2
+		}
+		got = append(got, s)
+	}
+	path := filepath.Join("testdata", "fit_floor.json")
+	if *recordFloor {
+		if err := fitfloor.Write(path, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floor, err := fitfloor.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range fitfloor.Check(floor, got) {
+		t.Error(msg)
+	}
+	drops := fitfloor.Drops(floor, got, 1e-6)
+	if len(drops) > 0 {
+		t.Logf("%d candidate R² drops > 1e-6, largest %.3g (%s %s)", len(drops), drops[0].Delta, drops[0].Sample, drops[0].Family)
 	}
 }
