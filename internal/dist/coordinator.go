@@ -103,6 +103,10 @@ type Coordinator struct {
 	speculateFactor float64
 	clock           obs.Clock
 
+	// feeds counts accepted artifacts still being written behind into
+	// store; Finish waits for them.
+	feeds sync.WaitGroup
+
 	mu        sync.Mutex
 	nextID    uint64
 	items     map[uint64]*item
@@ -216,12 +220,14 @@ func (c *Coordinator) Execute(ctx context.Context, spec pipeline.RunSpec, key st
 }
 
 // Finish marks the sweep complete: subsequent lease requests answer
-// StatusDone, dismissing pollers. Call it after the last Execute has
-// returned.
+// StatusDone, dismissing pollers. It returns once every accepted
+// artifact has been fed into the shared store. Call it after the last
+// Execute has returned.
 func (c *Coordinator) Finish() {
 	c.mu.Lock()
 	c.finished = true
 	c.mu.Unlock()
+	c.feeds.Wait()
 }
 
 // abandon fails it on behalf of its submitter (context cancellation). A
@@ -559,6 +565,9 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	it.worker = req.Worker
 	it.hedgePending = false
 	it.hedgeWorker, it.hedgeDeadline, it.hedgeStart = "", time.Time{}, time.Time{}
+	if c.store != nil {
+		c.feeds.Add(1) // before done closes, so Finish after Execute sees it
+	}
 	close(it.done)
 	c.metrics.Completions.Add(1)
 	c.emit("dist.completed", map[string]string{"spec": label, "key": key, "worker": req.Worker})
@@ -568,6 +577,7 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	// worker already has its answer, and the next worker to need this key
 	// gets a warm fleet-wide hit. Best-effort by design.
 	if c.store != nil {
+		defer c.feeds.Done()
 		if err := c.store.Put(key, req.Artifact); err != nil {
 			c.emit("dist.store.feed.error", map[string]string{"key": key, "err": err.Error()})
 		} else {

@@ -61,6 +61,9 @@ func (s *Simulator) SpawnAt(t Time, name string, body func(p *Process)) *Process
 		yield:  make(chan struct{}),
 	}
 	s.live++
+	if len(s.procs) >= 2*s.live+64 {
+		s.compactProcs()
+	}
 	s.procs = append(s.procs, p)
 	go func() {
 		<-p.resume // wait for first activation
@@ -71,6 +74,22 @@ func (s *Simulator) SpawnAt(t Time, name string, body func(p *Process)) *Process
 	}()
 	s.At(t, func() { p.activate() })
 	return p
+}
+
+// compactProcs drops ended processes from the registry, keeping spawn
+// order. Every reader of the registry skips ended processes, so the
+// watchdog's reports are unchanged. SpawnAt calls it once the registry
+// has grown to twice the live count, which keeps the registry O(live) at
+// amortized O(1) cost per spawn.
+func (s *Simulator) compactProcs() {
+	kept := s.procs[:0]
+	for _, p := range s.procs {
+		if !p.ended {
+			kept = append(kept, p)
+		}
+	}
+	clear(s.procs[len(kept):]) // let the ended processes be collected
+	s.procs = kept
 }
 
 // activate transfers control to the process and blocks until it yields.

@@ -86,8 +86,9 @@ type Simulator struct {
 	// bookkeeping only (Run drains the calendar regardless).
 	live int
 
-	// procs is the spawn-ordered registry of every process, live or ended,
-	// used by the watchdog to enumerate blocked processes deterministically.
+	// procs is the spawn-ordered registry of the live processes (and of
+	// ended ones not yet compacted away, see compactProcs), used by the
+	// watchdog to enumerate blocked processes deterministically.
 	procs []*Process
 
 	fired       int64 // events fired since construction

@@ -67,15 +67,33 @@ func (o FitOptions) withDefaults() FitOptions {
 }
 
 // stallLimit is how many consecutive iterations without a best-point
-// improvement DUD tolerates before declaring convergence.
+// improvement DUD tolerates before it stops.
 const stallLimit = 10
+
+// Why DUD stopped, as recorded in FitResult.Stop.
+const (
+	// StopConverged: stallLimit steps in a row improved the best RSS by
+	// no more than Tol (relative), the last of them a step that was taken.
+	StopConverged = "converged"
+	// StopStalled: the same, the last of them a step that could not be
+	// taken: too small to move the best point, not computable, or a
+	// reseed of a flattened simplex.
+	StopStalled = "stalled"
+	// StopCollapsed: the simplex shrank onto the best point.
+	StopCollapsed = "collapsed"
+	// StopMaxIter: the iteration cap was reached.
+	StopMaxIter = "max_iter"
+)
 
 // FitResult reports the outcome of a regression.
 type FitResult struct {
 	Theta []float64 // fitted parameters, natural space
 	RSS   float64   // residual sum of squares
 	Iters int
+	Stop  string // why DUD stopped: one of the Stop* constants
 }
+
+var errNotEvaluable = errors.New("stats: model not evaluable near initial estimate")
 
 // dudPoint is one simplex vertex: unconstrained parameters u, the model's
 // values g at every x, and the residual sum of squares (+Inf when a
@@ -83,6 +101,59 @@ type FitResult struct {
 type dudPoint struct {
 	u, g []float64
 	rss  float64
+}
+
+// dud is one fit's state: the simplex, ordered so pts[0] is worst and
+// pts[p] is best, and every buffer an iteration needs, allocated once.
+type dud struct {
+	m      Model
+	xs, ys []float64
+	tol    float64
+	th     []float64 // natural-space parameters of the point being evaluated
+	unit   []float64 // each coordinate's trust unit (see FitDUD)
+	pts    []dudPoint
+	cand   dudPoint
+	dTheta [][]float64 // dTheta[j] = pts[j].u - best.u
+	dG     [][]float64 // dG[j] = pts[j].g - best.g
+	r      []float64   // y - best.g
+	step   []float64   // the secant step from best.u
+	basis  [][]float64 // orthonormal secant directions, in trust units
+	ne     normalEq
+	stall  int     // consecutive steps that left the best point where it was
+	reseed float64 // best RSS at the last reseed, so a best point reseeds once
+}
+
+func (d *dud) newPoint() dudPoint {
+	return dudPoint{u: make([]float64, len(d.th)), g: make([]float64, len(d.xs))}
+}
+
+// eval fills pt's model values and RSS from pt.u.
+func (d *dud) eval(pt *dudPoint) {
+	for j := range d.th {
+		d.th[j] = d.m.Transforms[j].toNatural(pt.u[j])
+	}
+	var s float64
+	for i, x := range d.xs {
+		pt.g[i] = d.m.F(d.th, x)
+		r := d.ys[i] - pt.g[i]
+		s += r * r
+	}
+	if math.IsNaN(s) { // a NaN residual; an infinite one already made s +Inf
+		s = math.Inf(1)
+	}
+	pt.rss = s
+}
+
+// order sorts the simplex so pts[0] is worst and pts[p] is best.
+func (d *dud) order() {
+	pts := d.pts
+	for i := 0; i < len(pts); i++ {
+		for k := i + 1; k < len(pts); k++ {
+			if pts[k].rss > pts[i].rss {
+				pts[i], pts[k] = pts[k], pts[i]
+			}
+		}
+	}
 }
 
 // FitDUD fits the model to (xs, ys) by the DUD ("doesn't use derivatives")
@@ -94,7 +165,8 @@ type dudPoint struct {
 // surface is locally approximated by secants through those values, a
 // linear least-squares step predicts a better point, and step halving
 // guards the descent. Each step evaluates the model only at new points,
-// and no derivatives of F are ever taken.
+// and no derivatives of F are ever taken. FitResult.Stop says why the
+// iteration ended.
 func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitResult, error) {
 	opt = opt.withDefaults()
 	if len(xs) != len(ys) {
@@ -111,186 +183,268 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		return FitResult{}, fmt.Errorf("stats: %d observations cannot identify %d parameters", len(xs), p)
 	}
 
-	natural := func(u, th []float64) []float64 {
-		for j := range th {
-			th[j] = m.Transforms[j].toNatural(u[j])
-		}
-		return th
+	d := &dud{m: m, xs: xs, ys: ys, tol: opt.Tol, th: make([]float64, p), ne: newNormalEq(p)}
+	d.unit = make([]float64, p)
+	d.step = make([]float64, p)
+	d.dTheta = make([][]float64, p)
+	d.dG = make([][]float64, p)
+	d.basis = make([][]float64, p)
+	for j := range d.dG {
+		d.dTheta[j] = make([]float64, p)
+		d.dG[j] = make([]float64, len(xs))
+		d.basis[j] = make([]float64, p)
 	}
-	th := make([]float64, p)
-	eval := func(pt *dudPoint) {
-		natural(pt.u, th)
-		var s float64
-		for i, x := range xs {
-			pt.g[i] = m.F(th, x)
-			r := ys[i] - pt.g[i]
-			s += r * r
-		}
-		if math.IsNaN(s) { // a NaN residual; an infinite one already made s +Inf
-			s = math.Inf(1)
-		}
-		pt.rss = s
-	}
-	newPoint := func() dudPoint {
-		return dudPoint{u: make([]float64, p), g: make([]float64, len(xs))}
-	}
+	d.r = make([]float64, len(xs))
+	d.cand = d.newPoint()
 
 	// Initial simplex of p+1 points: theta0 plus per-coordinate nudges.
-	pts := make([]dudPoint, p+1)
-	pts[0] = newPoint()
-	u0 := pts[0].u
+	d.pts = make([]dudPoint, p+1)
+	d.pts[0] = d.newPoint()
+	u0 := d.pts[0].u
 	for j := range u0 {
 		u0[j] = m.Transforms[j].toUnconstrained(theta0[j])
 		if math.IsNaN(u0[j]) || math.IsInf(u0[j], 0) {
 			return FitResult{}, fmt.Errorf("stats: initial parameter %d (%v) not in the transform's domain", j, theta0[j])
 		}
+		// A log or logit coordinate moves in e-folds; an identity one in
+		// tenths of its initial size, so a bound or location measured in
+		// nanoseconds is not held to steps of a few nanoseconds.
+		d.unit[j] = 1
+		if m.Transforms[j] == TransformIdentity {
+			d.unit[j] = math.Max(1, 0.1*math.Abs(u0[j]))
+		}
 	}
-	eval(&pts[0])
+	d.eval(&d.pts[0])
 	for j := 0; j < p; j++ {
-		pt := newPoint()
+		pt := d.newPoint()
 		copy(pt.u, u0)
 		step := 0.1 * math.Abs(pt.u[j])
 		if step < 0.1 {
 			step = 0.1
 		}
 		pt.u[j] += step
-		eval(&pt)
-		pts[j+1] = pt
+		d.eval(&pt)
+		d.pts[j+1] = pt
 	}
+	d.order()
 
-	// order sorts points so pts[0] is worst and pts[p] is best.
-	order := func() {
-		for i := 0; i < len(pts); i++ {
-			for k := i + 1; k < len(pts); k++ {
-				if pts[k].rss > pts[i].rss {
-					pts[i], pts[k] = pts[k], pts[i]
-				}
-			}
-		}
-	}
-	order()
-
-	// Secant columns around the best point, the residual at it, and the
-	// candidate point are reused across iterations.
-	dTheta := make([][]float64, p)
-	dG := make([][]float64, p)
-	for j := range dG {
-		dTheta[j] = make([]float64, p)
-		dG[j] = make([]float64, len(xs))
-	}
-	r := make([]float64, len(xs))
-	cand := newPoint()
-
-	iters := 0
-	stall := 0
+	iters, stop := 0, StopMaxIter
 	for ; iters < opt.MaxIter; iters++ {
-		best := pts[p]
-		if math.IsInf(best.rss, 1) {
-			return FitResult{}, errors.New("stats: model not evaluable near initial estimate")
+		s, err := d.iterate()
+		if err != nil {
+			return FitResult{}, err
 		}
-
-		// Columns: dTheta[j] = pts[j] - best; dG[j] = g(pts[j]) - g(best).
-		for j := 0; j < p; j++ {
-			for k := range best.u {
-				dTheta[j][k] = pts[j].u[k] - best.u[k]
-			}
-			for i := range best.g {
-				dG[j][i] = pts[j].g[i] - best.g[i]
-			}
-		}
-
-		// Solve min_alpha || r - dG alpha || where r = y - g(best).
-		for i := range r {
-			r[i] = ys[i] - best.g[i]
-		}
-		alpha, ok := LeastSquares(dG, r)
-		if !ok {
-			// Degenerate secant set: re-nudge the worst point off the
-			// best and retry next iteration.
-			worst := &pts[0]
-			for j := range worst.u {
-				worst.u[j] = best.u[j] + (0.05+1e-3*float64(iters))*(1+math.Abs(best.u[j]))*sign(float64(j%2)*2-1)
-			}
-			eval(worst)
-			order()
-			continue
-		}
-
-		// Candidate step with halving, under a trust-region cap: an
-		// unconstrained-space move bigger than maxStep per coordinate
-		// would leap onto the CDF's flat plateaus (F≡0 or F≡1) where the
-		// secants carry no information.
-		const maxStep = 2.0
-		var maxMove float64
-		for k := 0; k < p; k++ {
-			var move float64
-			for j := 0; j < p; j++ {
-				move += dTheta[j][k] * alpha[j]
-			}
-			if a := math.Abs(move); a > maxMove {
-				maxMove = a
-			}
-		}
-		improved := false
-		scale := 1.0
-		if maxMove > maxStep {
-			scale = maxStep / maxMove
-		}
-		for h := 0; h < 10; h++ {
-			for k := 0; k < p; k++ {
-				var move float64
-				for j := 0; j < p; j++ {
-					move += dTheta[j][k] * alpha[j] * scale
-				}
-				cand.u[k] = best.u[k] + move
-			}
-			eval(&cand)
-			if cand.rss < pts[0].rss { // better than the worst: accept
-				pts[0], cand = cand, pts[0]
-				improved = true
-				break
-			}
-			scale /= 2
-		}
-		if !improved {
-			// Shrink the simplex toward the best point (the DUD restart
-			// recommended when the secant step fails) and keep going
-			// unless the simplex has collapsed.
-			var size float64
-			for j := 0; j < p; j++ {
-				for k := 0; k < p; k++ {
-					pts[j].u[k] = best.u[k] + 0.5*(pts[j].u[k]-best.u[k])
-					d := pts[j].u[k] - best.u[k]
-					size += d * d
-				}
-				eval(&pts[j])
-			}
-			if size < 1e-24 {
-				break
-			}
-			order()
-			continue
-		}
-		order()
-		if best.rss-pts[p].rss <= opt.Tol*math.Max(best.rss, 1e-30) {
-			stall++
-			if stall >= stallLimit {
-				break
-			}
-		} else {
-			stall = 0
+		if s != "" {
+			stop = s
+			break
 		}
 	}
-
-	order()
-	return FitResult{Theta: natural(pts[p].u, make([]float64, p)), RSS: pts[p].rss, Iters: iters}, nil
+	d.order()
+	best := d.pts[p]
+	th := make([]float64, p)
+	for j := range th {
+		th[j] = m.Transforms[j].toNatural(best.u[j])
+	}
+	return FitResult{Theta: th, RSS: best.rss, Iters: iters, Stop: stop}, nil
 }
 
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
+// maxStep caps a step's move along any coordinate, in trust units: a
+// bigger move would leap onto the CDF's flat plateaus (F≡0 or F≡1) where
+// the secants carry no information.
+const maxStep = 2.0
+
+// iterate takes one DUD step and returns why the fit stops, or "" to go
+// on. The step solves min ‖r − dG·α‖ for the secants dG around the best
+// point, moves by at most maxStep trust units along any coordinate, and
+// halves until it beats the worst point.
+//
+// When dGᵀdG is singular, either the simplex has flattened (its points'
+// directions from the best one no longer span parameter space, as when
+// successive steps walk along a ridge) and is reseeded around the best
+// point, or the model is flat along some direction and the step is the
+// Levenberg step of the damped system (dGᵀdG + λI)α = dGᵀr, with λ a
+// small fraction of the system's mean diagonal. A step too small to
+// move the best point, or one that fails to beat the worst, shrinks the
+// simplex toward the best point.
+//
+//lint:hot
+func (d *dud) iterate() (stop string, err error) {
+	p := len(d.th)
+	best := d.pts[p]
+	if math.IsInf(best.rss, 1) {
+		return "", errNotEvaluable
 	}
-	return 1
+	for j := 0; j < p; j++ {
+		for k := range best.u {
+			d.dTheta[j][k] = d.pts[j].u[k] - best.u[k]
+		}
+		for i := range best.g {
+			d.dG[j][i] = d.pts[j].g[i] - best.g[i]
+		}
+	}
+	for i := range d.r {
+		d.r[i] = d.ys[i] - best.g[i]
+	}
+	tiny := d.negligible(best.u)
+	alpha, ok := d.ne.solve(d.dG, d.r, 0)
+	if !ok && best.rss != d.reseed && d.flat(tiny) {
+		d.reseed = best.rss
+		for j := 0; j < p; j++ {
+			pt := &d.pts[j]
+			copy(pt.u, best.u)
+			pt.u[j] -= 0.1 * d.unit[j]
+			if tr := d.m.Transforms[j]; tr.toNatural(pt.u[j]) == tr.toNatural(best.u[j]) {
+				// A saturated transform (a logit far from zero) rounds
+				// the move away: this is the best point again.
+				copy(pt.g, best.g)
+				pt.rss = best.rss
+				continue
+			}
+			d.eval(pt)
+		}
+		d.order()
+		return d.stalled(), nil
+	}
+	if !ok {
+		var trace float64
+		for j := range d.dG {
+			trace += dot(d.dG[j], d.dG[j])
+		}
+		alpha, ok = d.ne.solve(d.dG, d.r, 1e-8*trace/float64(p))
+	}
+
+	// The step, and its largest move along a coordinate in trust units.
+	var maxMove float64
+	for k := 0; ok && k < p; k++ {
+		var move float64
+		for j := 0; j < p; j++ {
+			move += d.dTheta[j][k] * alpha[j]
+		}
+		d.step[k] = move
+		maxMove = math.Max(maxMove, math.Abs(move)/d.unit[k])
+	}
+	scale := math.Min(1, maxStep/maxMove)
+	if !ok || maxMove*scale <= tiny {
+		if s := d.stalled(); s != "" {
+			return s, nil
+		}
+		return d.shrink(tiny), nil
+	}
+
+	// Step halving: accept the first candidate better than the worst.
+	improved := false
+	for h := 0; h < 10 && maxMove*scale > tiny; h++ {
+		for k := 0; k < p; k++ {
+			d.cand.u[k] = best.u[k] + d.step[k]*scale
+		}
+		d.eval(&d.cand)
+		if d.cand.rss < d.pts[0].rss {
+			d.pts[0], d.cand = d.cand, d.pts[0]
+			improved = true
+			break
+		}
+		scale /= 2
+	}
+	if !improved {
+		return d.shrink(tiny), nil
+	}
+	d.order()
+	if best.rss-d.pts[p].rss <= d.tol*math.Max(best.rss, 1e-30) {
+		d.stall++
+		if d.stall >= stallLimit {
+			return StopConverged, nil
+		}
+	} else {
+		d.stall = 0
+	}
+	return "", nil
+}
+
+// stalled counts a step that could not move the best point and reports
+// StopStalled once stallLimit of them come in a row.
+func (d *dud) stalled() string {
+	d.stall++
+	if d.stall >= stallLimit {
+		return StopStalled
+	}
+	return ""
+}
+
+// flat reports whether some point's direction from the best one lies
+// (nearly) in the span of the better points' directions, compared in
+// trust units. Points within tiny of the best one, where a shrink put
+// them, do not count.
+func (d *dud) flat(tiny float64) bool {
+	p := len(d.th)
+	basis := d.basis[:0]
+	for j := p - 1; j >= 0; j-- {
+		q := d.basis[len(basis)]
+		for k := range q {
+			q[k] = d.dTheta[j][k] / d.unit[k]
+		}
+		norm := math.Sqrt(dot(q, q))
+		if norm <= tiny {
+			continue
+		}
+		for _, b := range basis {
+			c := dot(q, b)
+			for k := range q {
+				q[k] -= c * b[k]
+			}
+		}
+		res := math.Sqrt(dot(q, q))
+		if res <= 1e-3*norm {
+			return true
+		}
+		for k := range q {
+			q[k] /= res
+		}
+		basis = basis[:len(basis)+1]
+	}
+	return false
+}
+
+// shrink pulls every point halfway toward the best one (the DUD restart
+// recommended when the secant step fails) and reports StopCollapsed once
+// the simplex is no bigger than tiny. A point that lands within tiny of
+// the best one takes the best point's values rather than evaluating the
+// model again at (nearly) the same parameters.
+func (d *dud) shrink(tiny float64) string {
+	p := len(d.th)
+	best := d.pts[p]
+	var size float64
+	for j := 0; j < p; j++ {
+		pt := &d.pts[j]
+		var dist float64
+		for k := 0; k < p; k++ {
+			pt.u[k] = best.u[k] + 0.5*(pt.u[k]-best.u[k])
+			dist = math.Max(dist, math.Abs(pt.u[k]-best.u[k])/d.unit[k])
+		}
+		if dist <= tiny {
+			copy(pt.u, best.u)
+			copy(pt.g, best.g)
+			pt.rss = best.rss
+		} else {
+			d.eval(pt)
+		}
+		size = math.Max(size, dist)
+	}
+	if size <= tiny {
+		return StopCollapsed
+	}
+	d.order()
+	return ""
+}
+
+// negligible is the largest move from u, in trust units, that counts as
+// no move at all: a few thousand ulps of u's largest coordinate, so a
+// step or simplex at that scale would re-evaluate points already known.
+func (d *dud) negligible(u []float64) float64 {
+	var m float64
+	for k, v := range u {
+		m = math.Max(m, math.Abs(v)/d.unit[k])
+	}
+	return 1e-12 * (1 + m)
 }
 
 // LeastSquares solves min ||X·b - y|| for the design columns cols of X
@@ -298,14 +452,43 @@ func sign(x float64) float64 {
 // with partial pivoting and back substitution. ok is false when XᵀX is
 // (near-)singular, as collinear columns make it, or b is not finite.
 func LeastSquares(cols [][]float64, y []float64) ([]float64, bool) {
+	return newNormalEq(len(cols)).solve(cols, y, 0)
+}
+
+// normalEq holds the normal equations of an n-column least-squares
+// problem, so repeated solves reuse one set of buffers.
+type normalEq struct {
+	a [][]float64 // XᵀX + λI, overwritten by elimination
+	b []float64   // Xᵀy, overwritten by the solution
+}
+
+func newNormalEq(n int) normalEq {
+	ne := normalEq{a: make([][]float64, n), b: make([]float64, n)}
+	for i := range ne.a {
+		ne.a[i] = make([]float64, n)
+	}
+	return ne
+}
+
+// solve solves the damped normal equations (XᵀX + λI) b = Xᵀy; λ = 0 is
+// plain least squares and λ > 0 the Levenberg step. The solution aliases
+// ne's buffer and is valid until the next solve. ok is false when a pivot
+// falls below 1e-14 (λ/2 for a damped system) or the solution is not
+// finite.
+func (ne normalEq) solve(cols [][]float64, y []float64, lambda float64) ([]float64, bool) {
 	n := len(cols)
-	m := make([][]float64, n)
-	x := make([]float64, n)
+	m, x := ne.a, ne.b
+	// A damped system's pivots are at least λ in exact arithmetic, so
+	// only rounding can bring one below λ/2.
+	pivTol := 1e-14
+	if lambda > 0 {
+		pivTol = lambda / 2
+	}
 	for i := range cols {
-		m[i] = make([]float64, n)
 		for j := range cols {
 			m[i][j] = dot(cols[i], cols[j])
 		}
+		m[i][i] += lambda
 		x[i] = dot(cols[i], y)
 	}
 
@@ -317,7 +500,7 @@ func LeastSquares(cols [][]float64, y []float64) ([]float64, bool) {
 				piv = r
 			}
 		}
-		if math.Abs(m[piv][col]) < 1e-14 {
+		if math.Abs(m[piv][col]) < pivTol {
 			return nil, false
 		}
 		m[col], m[piv] = m[piv], m[col]

@@ -213,3 +213,77 @@ func TestDUDNeverEvaluatesSameThetaTwice(t *testing.T) {
 		}
 	}
 }
+
+// DUD must stop because it is done, not because it ran out of
+// iterations: at most 5% of the corpus's FitDUD runs (every candidate
+// from each of refineAndScore's starts) may stop at the cap.
+func TestDUDStopsBeforeTheCap(t *testing.T) {
+	stops := map[string]int{}
+	runs := 0
+	for _, c := range goldenCorpus {
+		if _, ok := c.dist.(Deterministic); ok {
+			continue
+		}
+		sample := c.sample()
+		xs, ys := NewECDF(sample).Points(maxRegressionPoints)
+		for _, cand := range candidateModels(Summarize(sample), sample) {
+			for _, f := range startScales {
+				res, err := FitDUD(cand.model, xs, ys, cand.start(f), FitOptions{})
+				if err != nil {
+					t.Fatalf("%s sample, %s model, start ×%v: %v", c.name, cand.model.Name, f, err)
+				}
+				runs++
+				stops[res.Stop]++
+				switch res.Stop {
+				case StopConverged, StopStalled, StopCollapsed:
+				case StopMaxIter:
+					if res.Iters != 400 {
+						t.Errorf("%s/%s: max_iter after %d iterations", c.name, cand.model.Name, res.Iters)
+					}
+				default:
+					t.Errorf("%s/%s: unknown stop reason %q", c.name, cand.model.Name, res.Stop)
+				}
+			}
+		}
+	}
+	if runs != 243 {
+		t.Errorf("%d FitDUD runs, want 243 (9 samples × 9 candidates × 3 starts)", runs)
+	}
+	if capped := stops[StopMaxIter]; capped*20 > runs {
+		t.Errorf("%d of %d runs stopped at the iteration cap (stops: %v)", capped, runs, stops)
+	}
+	t.Logf("stops: %v", stops)
+}
+
+// FitDUD allocates its buffers once per fit: running more iterations
+// must not allocate more.
+func TestFitDUDAllocationsIndependentOfIterations(t *testing.T) {
+	c := goldenCorpus[7] // pareto sample: the H2 fit runs ~90 iterations
+	sample := c.sample()
+	xs, ys := NewECDF(sample).Points(maxRegressionPoints)
+	var h2 candidate
+	for _, cand := range candidateModels(Summarize(sample), sample) {
+		if cand.model.Name == "hyperexponential" {
+			h2 = cand
+		}
+	}
+	fit := func(maxIter int) (int, float64) {
+		var iters int
+		allocs := testing.AllocsPerRun(5, func() {
+			res, err := FitDUD(h2.model, xs, ys, h2.init, FitOptions{MaxIter: maxIter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = res.Iters
+		})
+		return iters, allocs
+	}
+	shortIters, shortAllocs := fit(3)
+	longIters, longAllocs := fit(0)
+	if longIters < 10*shortIters {
+		t.Fatalf("the default fit ran %d iterations, not enough more than %d to compare", longIters, shortIters)
+	}
+	if longAllocs != shortAllocs {
+		t.Errorf("%v allocations over %d iterations, %v over %d", longAllocs, longIters, shortAllocs, shortIters)
+	}
+}

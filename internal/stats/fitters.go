@@ -3,7 +3,10 @@ package stats
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // CandidateFit is one fitted distribution family with its goodness-of-fit
@@ -50,9 +53,24 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 	ecdf := NewECDF(samples)
 	xs, ys := ecdf.Points(maxRegressionPoints)
 
+	// Every start of every candidate is an independent DUD fit, and every
+	// candidate's scoring is independent too: fan both out over the
+	// available cores, each writing its own slot, so the result does not
+	// depend on the schedule. Starts rather than whole candidates are the
+	// unit of work because one family can cost half of a sample's fitting.
+	cands := candidateModels(sum, samples)
+	n := len(startScales)
+	runs := make([]dudRun, len(cands)*n)
+	parallel(len(runs), func(i int) {
+		c := cands[i/n]
+		runs[i].res, runs[i].err = FitDUD(c.model, xs, ys, c.start(startScales[i%n]), FitOptions{})
+	})
+	fits := make([]*CandidateFit, len(cands))
+	parallel(len(cands), func(i int) {
+		fits[i] = refineAndScore(cands[i], runs[i*n:(i+1)*n], xs, ys, samples)
+	})
 	var out []CandidateFit
-	for _, c := range candidateModels(sum, samples) {
-		fit := refineAndScore(c, xs, ys, samples)
+	for _, fit := range fits {
 		if fit != nil {
 			out = append(out, *fit)
 		}
@@ -247,22 +265,40 @@ func candidateModels(sum Summary, samples []float64) []candidate {
 	return cands
 }
 
-func refineAndScore(c candidate, xs, ys []float64, samples []float64) *CandidateFit {
+// dudRun is the outcome of one FitDUD start.
+type dudRun struct {
+	res FitResult
+	err error
+}
+
+// parallel calls fn(i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines and returns when all calls have.
+func parallel(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// refineAndScore keeps the best of a candidate's DUD starts (runs, in
+// startScales order) and scores it against the sample.
+func refineAndScore(c candidate, runs []dudRun, xs, ys []float64, samples []float64) *CandidateFit {
 	theta := c.init
 	iters := 0
 	bestRSS := math.Inf(1)
-	// Multi-start: the moment/MLE seed plus scaled variants, to dodge the
-	// local minima multi-parameter families (H2 especially) suffer from.
-	for _, f := range []float64{1, 0.3, 3} {
-		seed := make([]float64, len(c.init))
-		for j, v := range c.init {
-			seed[j] = scaleParam(c.model.Transforms[j], v, f)
-		}
-		res, err := FitDUD(c.model, xs, ys, seed, FitOptions{})
-		if err == nil && res.RSS < bestRSS {
-			bestRSS = res.RSS
-			theta = res.Theta
-			iters += res.Iters
+	for _, r := range runs {
+		if r.err == nil && r.res.RSS < bestRSS {
+			bestRSS = r.res.RSS
+			theta = r.res.Theta
+			iters += r.res.Iters
 		}
 	}
 	dist := c.build(theta)
@@ -296,6 +332,20 @@ func refineAndScore(c candidate, xs, ys []float64, samples []float64) *Candidate
 		Chi:   ChiSquareGoF(samples, dist, chiSquareBins, c.nparams),
 		Iters: iters,
 	}
+}
+
+// startScales are the multi-start factors: the moment/MLE seed plus
+// scaled variants, to dodge the local minima multi-parameter families
+// (H2 especially) suffer from.
+var startScales = []float64{1, 0.3, 3}
+
+// start is the candidate's initial estimate scaled by f.
+func (c candidate) start(f float64) []float64 {
+	seed := make([]float64, len(c.init))
+	for j, v := range c.init {
+		seed[j] = scaleParam(c.model.Transforms[j], v, f)
+	}
+	return seed
 }
 
 // scaleParam perturbs a starting value for multi-start fitting in a way
