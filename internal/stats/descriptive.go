@@ -28,14 +28,18 @@ type Summary struct {
 // Summarize computes descriptive statistics. It returns a zero Summary for
 // an empty sample.
 func Summarize(xs []float64) Summary {
+	return summarize(xs, ascending(xs))
+}
+
+// summarize is Summarize given xs's sorted copy, from which it reads the
+// median.
+func summarize(xs, sorted []float64) Summary {
 	n := len(xs)
 	if n == 0 {
 		return Summary{}
 	}
-	var sum float64
 	min, max := xs[0], xs[0]
 	for _, x := range xs {
-		sum += x
 		if x < min {
 			min = x
 		}
@@ -43,16 +47,7 @@ func Summarize(xs []float64) Summary {
 			max = x
 		}
 	}
-	mean := sum / float64(n)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	variance := 0.0
-	if n > 1 {
-		variance = ss / float64(n-1)
-	}
+	mean, variance := meanVariance(xs)
 	sd := math.Sqrt(variance)
 	cv := 0.0
 	if mean != 0 {
@@ -60,8 +55,36 @@ func Summarize(xs []float64) Summary {
 	}
 	return Summary{
 		N: n, Mean: mean, Variance: variance, StdDev: sd, CV: cv,
-		Min: min, Max: max, Median: Percentile(xs, 0.5),
+		Min: min, Max: max, Median: percentileSorted(sorted, 0.5),
 	}
+}
+
+// meanVariance returns the mean and the unbiased (n-1) variance of a
+// non-empty sample, summed in the sample's order.
+func meanVariance(xs []float64) (mean, variance float64) {
+	n := len(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean = sum / float64(n)
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	if n > 1 {
+		variance = ss / float64(n-1)
+	}
+	return mean, variance
+}
+
+// ascending returns xs sorted ascending, leaving xs as it is.
+func ascending(xs []float64) []float64 {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return sorted
 }
 
 // Percentile returns the p-th quantile (0 <= p <= 1) using linear
@@ -70,10 +93,7 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return percentileSorted(ascending(xs), p)
 }
 
 func percentileSorted(sorted []float64, p float64) float64 {
@@ -99,10 +119,7 @@ type ECDF struct {
 
 // NewECDF builds an ECDF from a sample (copied and sorted).
 func NewECDF(sample []float64) *ECDF {
-	xs := make([]float64, len(sample))
-	copy(xs, sample)
-	sort.Float64s(xs)
-	return &ECDF{xs: xs}
+	return &ECDF{xs: ascending(sample)}
 }
 
 // N returns the sample size.

@@ -35,7 +35,10 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 	if len(samples) < 8 {
 		return nil, errors.New("stats: too few samples to characterize")
 	}
-	sum := Summarize(samples)
+	// One sorted copy serves the median, the ECDF, the Weibull seed and
+	// every candidate's KS and χ² scores.
+	sorted := ascending(samples)
+	sum := summarize(samples, sorted)
 	if sum.Mean <= 0 {
 		return nil, errors.New("stats: non-positive mean; inter-arrival samples must be positive")
 	}
@@ -50,15 +53,14 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 		}}, nil
 	}
 
-	ecdf := NewECDF(samples)
-	xs, ys := ecdf.Points(maxRegressionPoints)
+	xs, ys := (&ECDF{xs: sorted}).Points(maxRegressionPoints)
 
 	// Every start of every candidate is an independent DUD fit, and every
 	// candidate's scoring is independent too: fan both out over the
 	// available cores, each writing its own slot, so the result does not
 	// depend on the schedule. Starts rather than whole candidates are the
 	// unit of work because one family can cost half of a sample's fitting.
-	cands := candidateModels(sum, samples)
+	cands := candidateModelsSorted(sum, samples, sorted)
 	n := len(startScales)
 	runs := make([]dudRun, len(cands)*n)
 	parallel(len(runs), func(i int) {
@@ -67,7 +69,7 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 	})
 	fits := make([]*CandidateFit, len(cands))
 	parallel(len(cands), func(i int) {
-		fits[i] = refineAndScore(cands[i], runs[i*n:(i+1)*n], xs, ys, samples)
+		fits[i] = refineAndScore(cands[i], runs[i*n:(i+1)*n], xs, ys, sorted)
 	})
 	var out []CandidateFit
 	for _, fit := range fits {
@@ -112,7 +114,14 @@ type candidate struct {
 	nparams int
 }
 
+// candidateModels returns every candidate family for the sample, seeded
+// from its summary.
 func candidateModels(sum Summary, samples []float64) []candidate {
+	return candidateModelsSorted(sum, samples, ascending(samples))
+}
+
+// candidateModelsSorted is candidateModels given the sample's sorted copy.
+func candidateModelsSorted(sum Summary, samples, sorted []float64) []candidate {
 	mean := sum.Mean
 	cv := sum.CV
 
@@ -137,7 +146,7 @@ func candidateModels(sum Summary, samples []float64) []candidate {
 				},
 				Transforms: []ParamTransform{TransformLog, TransformLog},
 			},
-			init:    weibullInit(samples, mean),
+			init:    weibullInit(sorted, mean),
 			build:   func(th []float64) Distribution { return Weibull{Shape: th[0], Scale: th[1]} },
 			nparams: 2,
 		},
@@ -289,8 +298,8 @@ func parallel(n int, fn func(i int)) {
 }
 
 // refineAndScore keeps the best of a candidate's DUD starts (runs, in
-// startScales order) and scores it against the sample.
-func refineAndScore(c candidate, runs []dudRun, xs, ys []float64, samples []float64) *CandidateFit {
+// startScales order) and scores it against the sorted sample.
+func refineAndScore(c candidate, runs []dudRun, xs, ys []float64, sorted []float64) *CandidateFit {
 	theta := c.init
 	iters := 0
 	bestRSS := math.Inf(1)
@@ -328,8 +337,8 @@ func refineAndScore(c candidate, runs []dudRun, xs, ys []float64, samples []floa
 	return &CandidateFit{
 		Dist:  dist,
 		R2:    r2,
-		KS:    KolmogorovSmirnov(samples, dist),
-		Chi:   ChiSquareGoF(samples, dist, chiSquareBins, c.nparams),
+		KS:    kolmogorovSmirnovSorted(sorted, dist),
+		Chi:   chiSquareGoFSorted(sorted, dist, chiSquareBins, c.nparams),
 		Iters: iters,
 	}
 }
@@ -394,19 +403,14 @@ func erlangStages(cv float64) int {
 	return k
 }
 
-// weibullInit estimates (shape, scale) by linear regression on the
-// linearized CDF: ln(-ln(1-F)) = k·ln x - k·ln λ.
-func weibullInit(samples []float64, mean float64) []float64 {
-	xs := make([]float64, 0, len(samples))
-	for _, x := range samples {
-		if x > 0 {
-			xs = append(xs, x)
-		}
-	}
+// weibullInit estimates (shape, scale) from the sorted sample by linear
+// regression on the linearized CDF: ln(-ln(1-F)) = k·ln x - k·ln λ.
+func weibullInit(sorted []float64, mean float64) []float64 {
+	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] > 0 })
+	xs := sorted[i:]
 	if len(xs) < 8 {
 		return []float64{1, mean}
 	}
-	sort.Float64s(xs)
 	n := float64(len(xs))
 	var sx, sy, sxx, sxy float64
 	var m int
@@ -447,9 +451,9 @@ func lognormalInit(samples []float64) (mu, sigma float64, ok bool) {
 	if len(logs) < 8 {
 		return 0, 0, false
 	}
-	s := Summarize(logs)
-	if s.StdDev <= 0 {
+	mu, variance := meanVariance(logs)
+	if variance <= 0 {
 		return 0, 0, false
 	}
-	return s.Mean, s.StdDev, true
+	return mu, math.Sqrt(variance), true
 }
