@@ -22,7 +22,7 @@ import (
 // DefaultSalt is the code-version component of every cache key. Bump it
 // whenever a change to the simulators or the analysis alters what a spec
 // produces, so stale on-disk artifacts invalidate themselves.
-const DefaultSalt = "commchar-pipeline-v3"
+const DefaultSalt = "commchar-pipeline-v4"
 
 // RunSpec names one characterization run: which application (or trace) to
 // acquire, on how many processors, at what scale, and under which machine

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/big"
 	"testing"
 
 	"commchar/internal/sim"
@@ -100,4 +101,53 @@ func TestFitRecoversPareto(t *testing.T) {
 	if pareto.R2 < fits[0].R2-0.005 {
 		t.Fatalf("pareto R²=%v, winner %s R²=%v", pareto.R2, fits[0].Dist.Name(), fits[0].R2)
 	}
+}
+
+// Lomax.CDF computes (1+x/scale)^(-α) as exp(-α·log(1+x/scale)). The
+// exponent y = α·log(1+x/scale) carries the rounding of the log and the
+// product, a few ulps of |y|, and exp turns that into a relative error of
+// 1-F that grows with |y|; F itself then rounds by half an ulp of 1. The
+// reference is the math.Pow form on the same rounded base, but with its
+// integer power taken in 256-bit arithmetic: math.Pow's binary powering
+// itself drifts by about α ulps, 2e-10 relative at α = 1e7.
+func TestLomaxCDFMatchesPow(t *testing.T) {
+	const eps = 0x1p-52
+	for _, alpha := range []float64{0.05, 0.7, 1, 2.5, 13, 1e3, 1e7, 3e14, 1e15} {
+		for _, scale := range []float64{1e-3, 1, 300, 7.5e13} {
+			for _, r := range []float64{1e-12, 1e-6, 0.01, 0.5, 1, 3, 100, 1e6} {
+				x := r * scale
+				b := 1 + x/scale
+				y := alpha * math.Log(b)
+				if y > 700 { // 1-F near or below the smallest normal
+					continue
+				}
+				want := powExact(b, -alpha)
+				got := 1 - Lomax{Alpha: alpha, Scale: scale}.CDF(x)
+				if tol := 4*eps*(1+y)*want + eps; math.Abs(got-want) > tol {
+					t.Errorf("α=%g scale=%g x=%g: 1-F = %v, want %v (tolerance %.3g)", alpha, scale, x, got, want, tol)
+				}
+			}
+		}
+	}
+	if f := (Lomax{Alpha: 1e15, Scale: 1}).CDF(1); f != 1 {
+		t.Errorf("CDF deep in the tail = %v, want 1", f)
+	}
+}
+
+// powExact is b^e for e ≤ 0, with the integer part of the power taken by
+// binary powering in 256-bit arithmetic and the fractional part by
+// math.Pow, which is exact to an ulp or two for exponents below 1.
+func powExact(b, e float64) float64 {
+	n, frac := math.Modf(-e)
+	acc := new(big.Float).SetPrec(256).SetFloat64(1)
+	sq := new(big.Float).SetPrec(256).SetFloat64(b)
+	for k := uint64(n); k > 0; k >>= 1 {
+		if k&1 == 1 {
+			acc.Mul(acc, sq)
+		}
+		sq.Mul(sq, sq)
+	}
+	acc.Quo(new(big.Float).SetPrec(256).SetFloat64(math.Pow(b, -frac)), acc)
+	v, _ := acc.Float64()
+	return v
 }

@@ -121,10 +121,11 @@ type dud struct {
 	ne     normalEq
 	stall  int     // consecutive steps that left the best point where it was
 	reseed float64 // best RSS at the last reseed, so a best point reseeds once
-}
-
-func (d *dud) newPoint() dudPoint {
-	return dudPoint{u: make([]float64, len(d.th)), g: make([]float64, len(d.xs))}
+	// rejected is a ring of the last step candidates that failed to beat
+	// the worst point: nRejected of its slots are filled, and next is the
+	// slot the next one goes to.
+	rejected        []dudPoint
+	nRejected, next int
 }
 
 // eval fills pt's model values and RSS from pt.u.
@@ -183,48 +184,66 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		return FitResult{}, fmt.Errorf("stats: %d observations cannot identify %d parameters", len(xs), p)
 	}
 
-	d := &dud{m: m, xs: xs, ys: ys, tol: opt.Tol, th: make([]float64, p), ne: newNormalEq(p)}
-	d.unit = make([]float64, p)
-	d.step = make([]float64, p)
-	d.dTheta = make([][]float64, p)
-	d.dG = make([][]float64, p)
-	d.basis = make([][]float64, p)
-	for j := range d.dG {
-		d.dTheta[j] = make([]float64, p)
-		d.dG[j] = make([]float64, len(xs))
-		d.basis[j] = make([]float64, p)
+	// Every buffer lives in one backing array, its rows in one slice and
+	// its points in another, so a fit allocates the same few times however
+	// many iterations it runs. The array holds th, unit, step and ne.b (p
+	// each), r (n), the p×p dTheta, basis and ne.a, the p×n dG, and p
+	// parameters and n model values per point.
+	n := len(xs)
+	points := make([]dudPoint, p+2+maxHalvings) // simplex, candidate, rejected ring
+	mem := make([]float64, 4*p+n+3*p*p+p*n+len(points)*(p+n))
+	take := func(k int) []float64 {
+		s := mem[:k:k]
+		mem = mem[k:]
+		return s
 	}
-	d.r = make([]float64, len(xs))
-	d.cand = d.newPoint()
+	rows := make([][]float64, 4*p)
+	for j := 0; j < p; j++ {
+		rows[j], rows[p+j], rows[2*p+j], rows[3*p+j] = take(p), take(n), take(p), take(p)
+	}
+	for i := range points {
+		points[i] = dudPoint{u: take(p), g: take(n)}
+	}
+	d := &dud{
+		m: m, xs: xs, ys: ys, tol: opt.Tol,
+		th: take(p), unit: take(p), step: take(p), r: take(n),
+		dTheta: rows[:p], dG: rows[p : 2*p], basis: rows[2*p : 3*p],
+		ne:  normalEq{a: rows[3*p:], b: take(p)},
+		pts: points[:p+1], cand: points[p+1], rejected: points[p+2:],
+	}
 
 	// Initial simplex of p+1 points: theta0 plus per-coordinate nudges.
-	d.pts = make([]dudPoint, p+1)
-	d.pts[0] = d.newPoint()
 	u0 := d.pts[0].u
+	idUnit := 1.0
 	for j := range u0 {
 		u0[j] = m.Transforms[j].toUnconstrained(theta0[j])
 		if math.IsNaN(u0[j]) || math.IsInf(u0[j], 0) {
 			return FitResult{}, fmt.Errorf("stats: initial parameter %d (%v) not in the transform's domain", j, theta0[j])
 		}
-		// A log or logit coordinate moves in e-folds; an identity one in
-		// tenths of its initial size, so a bound or location measured in
-		// nanoseconds is not held to steps of a few nanoseconds.
+		if m.Transforms[j] == TransformIdentity {
+			idUnit = math.Max(idUnit, 0.1*math.Abs(u0[j]))
+		}
+	}
+	// A log or logit coordinate moves in e-folds. The identity coordinates
+	// share one unit, a tenth of the largest of them, so a bound or a
+	// location measured in nanoseconds is not held to steps of a few
+	// nanoseconds: not even one, like a lower bound, that starts near 0.
+	for j := range d.unit {
 		d.unit[j] = 1
 		if m.Transforms[j] == TransformIdentity {
-			d.unit[j] = math.Max(1, 0.1*math.Abs(u0[j]))
+			d.unit[j] = idUnit
 		}
 	}
 	d.eval(&d.pts[0])
 	for j := 0; j < p; j++ {
-		pt := d.newPoint()
+		pt := &d.pts[j+1]
 		copy(pt.u, u0)
 		step := 0.1 * math.Abs(pt.u[j])
 		if step < 0.1 {
 			step = 0.1
 		}
 		pt.u[j] += step
-		d.eval(&pt)
-		d.pts[j+1] = pt
+		d.eval(pt)
 	}
 	d.order()
 
@@ -253,10 +272,17 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 // the secants carry no information.
 const maxStep = 2.0
 
+// maxHalvings bounds the step halvings of one iteration.
+const maxHalvings = 10
+
 // iterate takes one DUD step and returns why the fit stops, or "" to go
 // on. The step solves min ‖r − dG·α‖ for the secants dG around the best
 // point, moves by at most maxStep trust units along any coordinate, and
-// halves until it beats the worst point.
+// halves until it beats the worst point. A candidate bit-equal to a
+// simplex point or to a recently rejected candidate takes that point's
+// values rather than evaluating the model again: a step clamped to
+// maxStep along the same direction from the same best point lands on
+// the candidates the previous iteration rejected.
 //
 // When dGᵀdG is singular, either the simplex has flattened (its points'
 // directions from the best one no longer span parameter space, as when
@@ -333,16 +359,23 @@ func (d *dud) iterate() (stop string, err error) {
 
 	// Step halving: accept the first candidate better than the worst.
 	improved := false
-	for h := 0; h < 10 && maxMove*scale > tiny; h++ {
+	for h := 0; h < maxHalvings && maxMove*scale > tiny; h++ {
 		for k := 0; k < p; k++ {
 			d.cand.u[k] = best.u[k] + d.step[k]*scale
 		}
-		d.eval(&d.cand)
+		if !d.recall(&d.cand) {
+			d.eval(&d.cand)
+		}
 		if d.cand.rss < d.pts[0].rss {
 			d.pts[0], d.cand = d.cand, d.pts[0]
 			improved = true
 			break
 		}
+		// Keep the rejected candidate, handing its evicted slot's buffers
+		// to the next one.
+		d.rejected[d.next], d.cand = d.cand, d.rejected[d.next]
+		d.next = (d.next + 1) % len(d.rejected)
+		d.nRejected = min(d.nRejected+1, len(d.rejected))
 		scale /= 2
 	}
 	if !improved {
@@ -358,6 +391,36 @@ func (d *dud) iterate() (stop string, err error) {
 		d.stall = 0
 	}
 	return "", nil
+}
+
+// recall fills pt's model values and RSS from a simplex point or a
+// remembered rejected candidate with bit-equal parameters, and reports
+// whether there was one.
+func (d *dud) recall(pt *dudPoint) bool {
+	for i := range d.pts {
+		if pt.copyFrom(&d.pts[i]) {
+			return true
+		}
+	}
+	for i := 0; i < d.nRejected; i++ {
+		if pt.copyFrom(&d.rejected[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// copyFrom takes q's model values and RSS if q's parameters are pt's, bit
+// for bit, and reports whether they were.
+func (pt *dudPoint) copyFrom(q *dudPoint) bool {
+	for k, v := range pt.u {
+		if math.Float64bits(v) != math.Float64bits(q.u[k]) {
+			return false
+		}
+	}
+	copy(pt.g, q.g)
+	pt.rss = q.rss
+	return true
 }
 
 // stalled counts a step that could not move the best point and reports

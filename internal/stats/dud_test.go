@@ -287,3 +287,37 @@ func TestFitDUDAllocationsIndependentOfIterations(t *testing.T) {
 		t.Errorf("%v allocations over %d iterations, %v over %d", longAllocs, longIters, shortAllocs, shortIters)
 	}
 }
+
+// A uniform fit to an IS-like sample, mostly short gaps plus a few long
+// ones, must converge: its lower bound starts near 0, and when each
+// identity coordinate had a trust unit of its own that bound moved at
+// most 2 ns per step, so two of the three starts ran to the cap.
+func TestUniformFitStopsBeforeTheCap(t *testing.T) {
+	st := sim.NewStream(7)
+	sample := make([]float64, 1500)
+	for i := range sample {
+		if st.Float64() < 0.05 {
+			sample[i] = Uniform{Lo: 20000, Hi: 80000}.Sample(st)
+		} else {
+			sample[i] = Exponential{Rate: 1.0 / 300}.Sample(st)
+		}
+	}
+	xs, ys := NewECDF(sample).Points(maxRegressionPoints)
+	for _, c := range candidateModels(Summarize(sample), sample) {
+		if c.model.Name != "uniform" {
+			continue
+		}
+		for _, f := range startScales {
+			res, err := FitDUD(c.model, xs, ys, c.start(f), FitOptions{})
+			if err != nil {
+				t.Fatalf("start ×%v: %v", f, err)
+			}
+			if res.Stop == StopMaxIter {
+				t.Errorf("start ×%v: stopped at the cap after %d iterations", f, res.Iters)
+			}
+			t.Logf("start ×%v: %s after %d iterations, θ = %v", f, res.Stop, res.Iters, res.Theta)
+		}
+		return
+	}
+	t.Fatal("no uniform candidate")
+}
